@@ -363,6 +363,67 @@ let certificate_feasible cert l ~t_t ~t_s =
 (* Verified branch-and-bound over certified Talg lower bounds         *)
 (* ------------------------------------------------------------------ *)
 
+(* Binary min-heap keyed by (bound, insertion sequence number).  The
+   sequence number makes the order total and stable: equal bounds pop in
+   insertion order, the order a stable sort by bound gives.  A NaN bound
+   orders after every number. *)
+module Worklist = struct
+  type 'a entry = { key : float; seq : int; item : 'a }
+  type 'a t = { mutable heap : 'a entry array; mutable size : int; mutable next : int }
+
+  let create () = { heap = [||]; size = 0; next = 0 }
+
+  let before a b =
+    if a.key < b.key then true
+    else if a.key = b.key then a.seq < b.seq
+    else if Float.is_nan a.key then Float.is_nan b.key && a.seq < b.seq
+    else Float.is_nan b.key
+
+  (* move the hole at [i] up until [e] fits, then fill it *)
+  let rec sift_up h i e =
+    let parent = (i - 1) / 2 in
+    if i > 0 && before e h.(parent) then begin
+      h.(i) <- h.(parent);
+      sift_up h parent e
+    end
+    else h.(i) <- e
+
+  (* move the hole at [i] down (within [n] entries) until [e] fits *)
+  let rec sift_down h n i e =
+    let l = (2 * i) + 1 in
+    let c = if l + 1 < n && before h.(l + 1) h.(l) then l + 1 else l in
+    if l < n && before h.(c) e then begin
+      h.(i) <- h.(c);
+      sift_down h n c e
+    end
+    else h.(i) <- e
+
+  let push w key item =
+    let e = { key; seq = w.next; item } in
+    w.next <- w.next + 1;
+    if w.size = Array.length w.heap then begin
+      let grown = Array.make (max 16 (2 * w.size)) e in
+      Array.blit w.heap 0 grown 0 w.size;
+      w.heap <- grown
+    end;
+    w.size <- w.size + 1;
+    sift_up w.heap (w.size - 1) e
+
+  let pop w =
+    if w.size = 0 then None
+    else begin
+      let top = w.heap.(0) in
+      w.size <- w.size - 1;
+      if w.size > 0 then sift_down w.heap w.size 0 w.heap.(w.size);
+      Some (top.key, top.item)
+    end
+
+  let to_sorted_list w =
+    let rest = Array.sub w.heap 0 w.size in
+    Array.sort (fun a b -> if before a b then -1 else if before b a then 1 else 0) rest;
+    Array.to_list (Array.map (fun e -> (e.key, e.item)) rest)
+end
+
 type bnb = {
   bnb_best : point;
   bnb_talg : float;
@@ -409,28 +470,19 @@ let minimize ?variant ?(slack = 0.25) (p : Params.t) ~citer
       incr evals_bound;
       fst (talg_bounds ?variant p ~citer problem l b)
     in
-    (* worklist kept sorted by certified lower bound: the head is always
-       the most promising box *)
-    let insert item wl =
-      let rec go = function
-        | [] -> [ item ]
-        | (lb, _) :: _ as rest when fst item < lb -> item :: rest
-        | x :: rest -> x :: go rest
-      in
-      go wl
-    in
-    let enqueue b wl =
+    let wl = Worklist.create () in
+    let enqueue b =
       match feasible_box p problem l b with
       | Infeasible _ ->
           Metrics.incr c_boxes_infeasible;
           incr pruned;
-          Metrics.incr c_bnb_pruned;
-          wl
-      | Feasible | Mixed _ -> insert (bound b, b) wl
+          Metrics.incr c_bnb_pruned
+      | Feasible | Mixed _ -> Worklist.push wl (bound b) b
     in
-    let rec drain = function
-      | [] -> Error "no feasible point in the lattice"
-      | (lb, b) :: rest ->
+    let rec drain () =
+      match Worklist.pop wl with
+      | None -> Error "no feasible point in the lattice"
+      | Some (lb, b) ->
           incr popped;
           if box_points b = 1 then begin
             (* exact: lb is this point's Talg and no remaining box can
@@ -455,7 +507,7 @@ let minimize ?variant ?(slack = 0.25) (p : Params.t) ~citer
                              Metrics.incr c_bnb_pruned;
                              None
                            end)
-                         rest
+                         (Worklist.to_sorted_list wl)
                   in
                   Ok
                     {
@@ -471,9 +523,13 @@ let minimize ?variant ?(slack = 0.25) (p : Params.t) ~citer
           else
             match split b with
             | None -> assert false (* box_points > 1 always splits *)
-            | Some (x, y) -> drain (enqueue x (enqueue y rest))
+            | Some (x, y) ->
+                enqueue y;
+                enqueue x;
+                drain ()
     in
-    drain (enqueue (full_box l) [])
+    enqueue (full_box l);
+    drain ()
   end
 
 (* ------------------------------------------------------------------ *)

@@ -186,6 +186,25 @@ val point_talg :
 val representative : lattice -> box -> point
 (** The index-midpoint member (deterministic). *)
 
+module Worklist : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val push : 'a t -> float -> 'a -> unit
+  (** [push w bound item] enqueues [item] under [bound]; O(log n). *)
+
+  val pop : 'a t -> (float * 'a) option
+  (** The entry with the least bound; among equal bounds, the one pushed
+      first.  A NaN bound orders after every number.  O(log n). *)
+
+  val to_sorted_list : 'a t -> (float * 'a) list
+  (** The remaining entries in the order {!pop} would return them,
+      without removing them. *)
+end
+(** The branch-and-bound worklist: a binary min-heap keyed by (bound,
+    insertion sequence number), so ties pop in insertion order. *)
+
 val minimize :
   ?variant:Hextime_core.Model.variant ->
   ?slack:float ->
@@ -202,7 +221,23 @@ val minimize :
     concrete [Model.predict] call cross-checks that identity.  The
     returned Talg equals the exhaustive minimum over the feasible
     lattice; [bnb_live] collects the still-unsplit boxes whose bound is
-    within [slack] (default 0.25) of the optimum. *)
+    within [slack] (default 0.25) of the optimum.
+
+    Ordering contract: the worklist is a {!Worklist}, so boxes with equal
+    bounds pop in the order they were enqueued (a split enqueues its
+    upper half before its lower half), and [bnb_live] is the arg-min box
+    followed by the survivors in (bound, insertion) order.  The order is
+    part of the result: [Descent]'s restart seeds are drawn from
+    [bnb_live] by position.
+
+    Cost: one concrete evaluation against the exhaustive sweep's one per
+    feasible shape, but that ratio is not the speedup.  On heat2d 512x512
+    T=128 (GTX 980, 1664 feasible shapes; 2-core Intel Xeon) a solve takes
+    about 6 ms for 1908 interval evaluations, where the exhaustive
+    [Optimizer.evaluate_space] takes about 1.9 ms.  A sorted-list
+    worklist, walked on every push, made the same solve 9-13 ms, and
+    the mean over hexbench's argmin-solve problems 25 ms (11 ms with the
+    heap).  The interval evaluations are now most of the cost. *)
 
 (** {1 Symbolic lint} *)
 

@@ -72,10 +72,13 @@ let solve ?(req_id = "") (arch : Arch.t) (problem : Problem.t) =
       let params = Microbench.params arch in
       let citer = Microbench.citer arch problem.Problem.stencil in
       (* `Symbolic seeds the multi-start descent with Hexabs' certified
-         branch-and-bound arg-min first; descent only ever accepts strict
-         improvements and the cross-restart fold keeps the first optimum, so
-         the returned shape is exactly the certified (= exhaustive) arg-min
-         at ~1 concrete model evaluation instead of a full enumeration. *)
+         branch-and-bound arg-min over the Space grid first; descent only
+         ever accepts strict improvements and the cross-restart fold keeps
+         the first optimum, so the returned Talg is at most the exhaustive
+         grid minimum.  Descent's moves are finer than the grid's strides,
+         so on some problems it leaves the grid and ends below that
+         minimum; on the twelve CI experiments it returns the grid arg-min
+         itself. *)
       match Descent.solve ~seed_mode:`Symbolic params ~citer problem with
       | Error e -> Error e
       | Ok sol -> (

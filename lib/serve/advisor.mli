@@ -5,10 +5,12 @@
     so a cold miss served live and an index entry built offline are
     guaranteed to agree.  The solver is {!Hextime_tileopt.Descent.solve}
     in its [`Symbolic] seed mode: {!Hextime_analysis.Hexabs.minimize}
-    certifies the Talg arg-min over the tile lattice with ~1 concrete
-    model evaluation, the descent polishes from that seed (a no-op at the
-    optimum, by construction), and the answer carries the predicted Talg
-    plus its Section-5 cost attribution. *)
+    certifies the Talg arg-min over the [Space] tile grid with ~1 concrete
+    model evaluation, the descent polishes from that seed, and the answer
+    carries the predicted Talg plus its Section-5 cost attribution.  The
+    descent accepts only strict improvements, but its moves are finer
+    than the grid's strides: the answer's Talg is at most the exhaustive
+    grid minimum, and below it where an off-grid shape wins. *)
 
 val code_version : string
 (** Versions {!request_key} and the index schema together: bump it and
@@ -39,8 +41,11 @@ val solve :
   Hextime_gpu.Arch.t ->
   Hextime_stencil.Problem.t ->
   (answer, string) result
-(** Compute the recommendation from scratch (the cold path).  Returns the
-    exhaustive-sweep arg-min configuration without the exhaustive sweep.
+(** Compute the recommendation from scratch (the cold path), without the
+    exhaustive sweep.  The answer's Talg is at most the exhaustive-sweep
+    minimum over the [Space] grid; on the twelve CI experiments it is the
+    exhaustive arg-min itself (the serve test suite checks this), and on
+    other problems the descent may return an off-grid shape below it.
     When tracing is enabled the solve is wrapped in an [advisor.solve]
     span carrying [req_id] (the serving request id), so a slow cold solve
     is attributable to the request that paid for it. *)

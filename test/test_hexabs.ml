@@ -272,6 +272,59 @@ let check_descent_solution_unchanged citer problem () =
     "symbolic-seeded descent reaches the exhaustive minimum" ex_min
     symbolic.Descent.talg
 
+(* --- worklist ordering ------------------------------------------------------ *)
+
+(* Random push/pop sequences over a handful of bounds, so most pushes tie:
+   every pop must be the head of a stable sort (by bound) of what is
+   pending, and the remainder listing the whole of it. *)
+let prop_worklist_stable =
+  let bounds = [| neg_infinity; 0.0; 1.0; 1.0; 2.5; infinity |] in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun k -> Some bounds.(k)) (int_bound (Array.length bounds - 1)));
+          (2, return None) ])
+  in
+  QCheck.Test.make ~name:"worklist pops in stable bound order" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list (option float))
+       QCheck.Gen.(list_size (int_bound 200) op))
+    (fun ops ->
+      let w = Hexabs.Worklist.create () in
+      let stable pending =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) pending
+      in
+      let rec go pending next = function
+        | [] -> Hexabs.Worklist.to_sorted_list w = stable pending
+        | Some k :: rest ->
+            Hexabs.Worklist.push w k next;
+            go (pending @ [ (k, next) ]) (next + 1) rest
+        | None :: rest -> (
+            match (Hexabs.Worklist.pop w, stable pending) with
+            | None, [] -> go [] next rest
+            | Some got, want :: remaining -> got = want && go remaining next rest
+            | _ -> false)
+      in
+      go [] 0 ops)
+
+(* --- trajectory golden ------------------------------------------------------ *)
+
+(* The whole minimize result (arg-min, Talg, counters, ordered live boxes)
+   and the advisor's answer on the CI grid plus off-grid problems, against
+   the values recorded with the sorted-list worklist.  The gtx980/heat2d
+   line is the workload bench/main.ml exports to BENCH_hextime.json: its
+   1908 interval evaluations, 694 pruned and 346 live boxes are the
+   committed hexabs_bnb_* counts. *)
+let check_trajectory_golden () =
+  let got = Bnb_trajectory.lines () in
+  Alcotest.(check int)
+    "golden line count" (List.length Golden_bnb.lines) (List.length got);
+  List.iteri
+    (fun i (want, got) ->
+      if want <> got then
+        Alcotest.failf "golden line %d drifted:\n  want %s\n  got  %s" i want
+          got)
+    (List.combine Golden_bnb.lines got)
+
 (* --- metrics -------------------------------------------------------------- *)
 
 let check_metrics_counters () =
@@ -326,4 +379,7 @@ let suite =
       (check_descent_solution_unchanged citer problem);
     Alcotest.test_case "hexabs metrics counters advance" `Quick
       check_metrics_counters;
+    QCheck_alcotest.to_alcotest prop_worklist_stable;
+    Alcotest.test_case "b&b trajectory matches the recorded golden" `Slow
+      check_trajectory_golden;
   ]
