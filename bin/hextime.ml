@@ -2793,8 +2793,11 @@ let ask_cmd =
       & info [ "check" ]
           ~doc:
             "Recompute the exhaustive-sweep arg-min in-process and fail \
-             unless the served answer matches it bit-exactly (the \
-             cold-path correctness oracle; slow).")
+             unless the served Talg equals the model's prediction for the \
+             served configuration bit for bit and is at most the grid \
+             minimum (the cold-path correctness oracle; slow).  Prints \
+             whether the answer is the grid arg-min or how far below it \
+             an off-grid answer lies.")
   in
   let wait =
     Arg.(
@@ -2802,10 +2805,6 @@ let ask_cmd =
       & info [ "wait" ] ~docv:"SECONDS"
           ~doc:"How long to keep retrying the connect while the server \
                 starts up.")
-  in
-  let config_equal (a : Config.t) (b : Config.t) =
-    a.Config.t_t = b.Config.t_t && a.Config.t_s = b.Config.t_s
-    && a.Config.threads = b.Config.threads
   in
   let run arch stencil space time socket format check wait =
     let attempts = max 1 (int_of_float (wait /. 0.05)) in
@@ -2852,34 +2851,28 @@ let ask_cmd =
               match problem_of stencil space time with
               | Error msg -> die "check: %s" msg
               | Ok problem -> (
-                  let params = H.Microbench.params arch in
-                  let citer = H.Microbench.citer arch stencil in
-                  let space_eval =
-                    Optimizer.evaluate_space params ~citer problem
-                  in
-                  if space_eval = [] then die "check: empty feasible space"
-                  else
-                    let best = Optimizer.best space_eval in
-                    match Serve.Advisor.config_of_shape best.Optimizer.shape with
-                    | Error msg -> die "check: %s" msg
-                    | Ok expected ->
-                        let talg = best.Optimizer.prediction.Model.talg in
-                        if
-                          config_equal expected entry.Serve.Index.e_config
-                          && talg = entry.Serve.Index.e_talg
-                        then begin
-                          Format.printf
-                            "check: matches the exhaustive arg-min (%d \
-                             feasible shapes)@."
-                            (List.length space_eval);
-                          `Ok ()
-                        end
-                        else
-                          die
-                            "check: served %s (Talg %.6e) but the exhaustive \
-                             arg-min is %s (Talg %.6e)"
-                            (Config.id entry.Serve.Index.e_config)
-                            entry.Serve.Index.e_talg (Config.id expected) talg)))
+                  match
+                    Serve.Advisor.check_answer arch problem
+                      ~config:entry.Serve.Index.e_config
+                      ~talg:entry.Serve.Index.e_talg
+                  with
+                  | Error msg -> die "check: %s" msg
+                  | Ok c ->
+                      if c.Serve.Advisor.ck_argmin_match then
+                        Format.printf
+                          "check: matches the exhaustive arg-min (%d \
+                           feasible shapes)@."
+                          c.Serve.Advisor.ck_feasible
+                      else
+                        Format.printf
+                          "check: %.2f%% below the exhaustive grid arg-min \
+                           %s (Talg %.6e, %d feasible shapes); Talg equals \
+                           Model.predict@."
+                          (100.0 *. c.Serve.Advisor.ck_below)
+                          (Config.id c.Serve.Advisor.ck_grid_config)
+                          c.Serve.Advisor.ck_grid_talg
+                          c.Serve.Advisor.ck_feasible;
+                      `Ok ())))
   in
   Cmd.v
     (Cmd.info "ask"

@@ -200,6 +200,22 @@ let verdict_constraint = function
   | Feasible -> None
   | Infeasible c | Mixed c -> Some c
 
+(* a corner of the box, read straight off the lattice *)
+let ts_corner l b ~high =
+  let c = Array.make (Array.length b.b_ts) 0 in
+  for d = 0 to Array.length c - 1 do
+    let s = b.b_ts.(d) in
+    c.(d) <- l.ts_axes.(d).(if high then s.hi else s.lo)
+  done;
+  c
+
+let exceeds_extent (t_s : int array) (space : int array) =
+  let over = ref false in
+  for d = 0 to Array.length t_s - 1 do
+    if t_s.(d) > space.(d) then over := true
+  done;
+  !over
+
 (* Model.feasible's constraints, decided over the whole box where the
    monotone structure allows.  M_tile = 2 * prod (t_s_d + order t_T + 1) *
    word_factor is strictly increasing in every coordinate, so its range
@@ -214,24 +230,23 @@ let feasible_box (p : Params.t) (problem : Problem.t) l b =
   else begin
     let order = stencil.Stencil.order in
     let word_factor = Problem.word_factor problem in
-    let (tt_lo, tt_hi), ts_ranges = value_ranges l b in
-    let shared_at pick_t pick_s =
-      Footprint.shared_words_of ~word_factor ~order
-        ~t_t:(pick_t (tt_lo, tt_hi))
-        (Array.map pick_s ts_ranges)
-    in
+    let space = problem.Problem.space in
+    let ts_lo = ts_corner l b ~high:false in
+    let ts_hi = ts_corner l b ~high:true in
     let cap = p.Params.shared_mem_per_block in
-    let smem_min = shared_at fst fst and smem_max = shared_at snd snd in
-    let extent_low_violated =
-      Array.exists2 (fun (lo, _) s -> lo > s) ts_ranges problem.Problem.space
-    in
-    let extent_high_violated =
-      Array.exists2 (fun (_, hi) s -> hi > s) ts_ranges problem.Problem.space
+    let smem_min =
+      Footprint.shared_words_of ~word_factor ~order
+        ~t_t:l.tt_axis.(b.b_tt.lo) ts_lo
+    and smem_max =
+      Footprint.shared_words_of ~word_factor ~order
+        ~t_t:l.tt_axis.(b.b_tt.hi) ts_hi
     in
     if smem_min > cap then Infeasible "shared-memory cap (Equation 19)"
-    else if extent_low_violated then Infeasible "tile size exceeds problem extent"
+    else if exceeds_extent ts_lo space then
+      Infeasible "tile size exceeds problem extent"
     else if smem_max > cap then Mixed "shared-memory cap (Equation 19)"
-    else if extent_high_violated then Mixed "tile size exceeds problem extent"
+    else if exceeds_extent ts_hi space then
+      Mixed "tile size exceeds problem extent"
     else Feasible
   end
 
@@ -240,8 +255,10 @@ let feasible_box (p : Params.t) (problem : Problem.t) l b =
 (* ------------------------------------------------------------------ *)
 
 let interval_inputs l b =
-  let (tt_lo, tt_hi), ts_ranges = value_ranges l b in
-  (II.v tt_lo tt_hi, Array.map (fun (lo, hi) -> II.v lo hi) ts_ranges)
+  ( II.v l.tt_axis.(b.b_tt.lo) l.tt_axis.(b.b_tt.hi),
+    Array.mapi
+      (fun d s -> II.v l.ts_axes.(d).(s.lo) l.ts_axes.(d).(s.hi))
+      b.b_ts )
 
 let model_terms ?variant (p : Params.t) ~citer (problem : Problem.t) l b =
   if citer <= 0.0 then invalid_arg "Hexabs.model_terms: citer must be positive";

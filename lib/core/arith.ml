@@ -18,12 +18,20 @@ module type S = sig
   val fdiv : float_t -> float_t -> float_t
   val fmax : float_t -> float_t -> float_t
   val fceil_to_int : float_t -> int_t
-  val sum_terms : terms:int_t -> (int -> int_t) -> int_t
+  val row_sum :
+    rows:int_t -> base:int_t -> step:int -> inner:int_t -> lanes:int -> int_t
 
   val if_eq :
     int_t -> int -> then_:(unit -> float_t) -> else_:(int_t -> float_t) ->
     float_t
 end
+
+(* Stdlib.min/max are polymorphic: without flambda every call goes to the
+   C comparison routine.  Ints use Int.min/max; these are Stdlib's float
+   expressions at a fixed type, not Float.min/max, which differ on NaN and
+   on signed zeros. *)
+let float_min (a : float) b = if a <= b then a else b
+let float_max (a : float) b = if a >= b then a else b
 
 module Scalar = struct
   type int_t = int
@@ -37,20 +45,21 @@ module Scalar = struct
   let ceil_div = Hextime_prelude.Ints.ceil_div
   let tdiv = Stdlib.( / )
   let trem a b = Stdlib.(a mod b)
-  let imin = Stdlib.min
-  let imax = Stdlib.max
+  let imin = Int.min
+  let imax = Int.max
   let to_float = float_of_int
   let ( +. ) = Stdlib.( +. )
   let ( *. ) = Stdlib.( *. )
   let fdiv = Stdlib.( /. )
-  let fmax (a : float) b = Stdlib.max a b
+  let fmax = float_max
   let fceil_to_int x = int_of_float (ceil x)
 
-  let sum_terms ~terms f =
-    let rec go acc d =
-      if Stdlib.(d >= terms) then acc else go (Stdlib.( + ) acc (f d)) (succ d)
-    in
-    go 0 0
+  let row_sum ~rows ~base ~step ~inner ~lanes =
+    let acc = ref 0 in
+    for d = 0 to rows - 1 do
+      acc := !acc + ceil_div ((base + (step * d)) * inner) lanes
+    done;
+    !acc
 
   let if_eq v n ~then_ ~else_ = if Stdlib.(v = n) then then_ () else else_ v
 end
@@ -63,7 +72,7 @@ module Int_interval = struct
     { ilo = lo; ihi = hi }
 
   let singleton n = { ilo = n; ihi = n }
-  let hull a b = { ilo = min a.ilo b.ilo; ihi = max a.ihi b.ihi }
+  let hull a b = { ilo = Int.min a.ilo b.ilo; ihi = Int.max a.ihi b.ihi }
   let mem x t = t.ilo <= x && x <= t.ihi
 end
 
@@ -75,7 +84,7 @@ module Float_interval = struct
     { flo = lo; fhi = hi }
 
   let singleton x = { flo = x; fhi = x }
-  let hull a b = { flo = min a.flo b.flo; fhi = max a.fhi b.fhi }
+  let hull a b = { flo = float_min a.flo b.flo; fhi = float_max a.fhi b.fhi }
   let mem x t = t.flo <= x && x <= t.fhi
 end
 
@@ -104,7 +113,10 @@ module Interval = struct
     and p2 = Stdlib.(a.ilo * b.ihi)
     and p3 = Stdlib.(a.ihi * b.ilo)
     and p4 = Stdlib.(a.ihi * b.ihi) in
-    { ilo = min (min p1 p2) (min p3 p4); ihi = max (max p1 p2) (max p3 p4) }
+    {
+      ilo = Int.min (Int.min p1 p2) (Int.min p3 p4);
+      ihi = Int.max (Int.max p1 p2) (Int.max p3 p4);
+    }
 
   (* ceil_div is monotone increasing in the dividend and decreasing in the
      divisor (both non-negative / positive), so the extreme quotients sit
@@ -132,12 +144,12 @@ module Interval = struct
       let m = b.ilo in
       if Stdlib.(a.ilo / m = a.ihi / m) then
         { ilo = Stdlib.(a.ilo mod m); ihi = Stdlib.(a.ihi mod m) }
-      else { ilo = 0; ihi = min a.ihi Stdlib.(m - 1) }
+      else { ilo = 0; ihi = Int.min a.ihi Stdlib.(m - 1) }
     end
-    else { ilo = 0; ihi = min a.ihi Stdlib.(b.ihi - 1) }
+    else { ilo = 0; ihi = Int.min a.ihi Stdlib.(b.ihi - 1) }
 
-  let imin a b = { ilo = min a.ilo b.ilo; ihi = min a.ihi b.ihi }
-  let imax a b = { ilo = max a.ilo b.ilo; ihi = max a.ihi b.ihi }
+  let imin a b = { ilo = Int.min a.ilo b.ilo; ihi = Int.min a.ihi b.ihi }
+  let imax a b = { ilo = Int.max a.ilo b.ilo; ihi = Int.max a.ihi b.ihi }
   let to_float a = { flo = float_of_int a.ilo; fhi = float_of_int a.ihi }
 
   (* every float the model feeds these operations is non-negative (times,
@@ -161,25 +173,30 @@ module Interval = struct
       invalid_arg "Arith.Interval.fdiv: non-positive divisor";
     { flo = Stdlib.(a.flo /. b.fhi); fhi = Stdlib.(a.fhi /. b.flo) }
 
-  let fmax a b = { flo = max a.flo b.flo; fhi = max a.fhi b.fhi }
+  let fmax a b = { flo = float_max a.flo b.flo; fhi = float_max a.fhi b.fhi }
 
   let fceil_to_int a =
     fnonneg "fceil_to_int" a;
     { ilo = int_of_float (ceil a.flo); ihi = int_of_float (ceil a.fhi) }
 
-  (* the trip count is abstract but each term is non-negative, so the
-     tightest enclosure sums lower endpoints over the fewest trips and
-     upper endpoints over the most *)
-  let sum_terms ~terms f =
-    nonneg "sum_terms" terms;
-    let lo = ref 0 and hi = ref 0 in
-    for d = 0 to Stdlib.(terms.ihi - 1) do
-      let t = f d in
-      nonneg "sum_terms(term)" t;
-      if Stdlib.(d < terms.ilo) then lo := Stdlib.(!lo + t.ilo);
-      hi := Stdlib.(!hi + t.ihi)
-    done;
-    { ilo = !lo; ihi = !hi }
+  (* every term is non-negative and increasing in base and inner, so the
+     tightest enclosure sums the low-corner terms over the fewest rows and
+     the high-corner terms over the most; the sums are integers, hence
+     exact *)
+  let row_sum ~rows ~base ~step ~inner ~lanes =
+    nonneg "row_sum(rows)" rows;
+    nonneg "row_sum(base)" base;
+    nonneg "row_sum(inner)" inner;
+    if Stdlib.(step < 0 || lanes <= 0) then
+      invalid_arg "Arith.Interval.row_sum: negative step or non-positive lanes";
+    {
+      ilo =
+        Scalar.row_sum ~rows:rows.ilo ~base:base.ilo ~step ~inner:inner.ilo
+          ~lanes;
+      ihi =
+        Scalar.row_sum ~rows:rows.ihi ~base:base.ihi ~step ~inner:inner.ihi
+          ~lanes;
+    }
 
   let if_eq v n ~then_ ~else_ =
     if Stdlib.(v.ilo = n && v.ihi = n) then then_ ()

@@ -59,11 +59,18 @@ module type S = sig
   val fceil_to_int : float_t -> int_t
   (** [int_of_float (ceil x)] with [x >= 0]. *)
 
-  val sum_terms : terms:int_t -> (int -> int_t) -> int_t
-  (** [sum_terms ~terms f] is [f 0 + f 1 + ... + f (terms - 1)], where
-      every [f d] is non-negative.  The trip count itself may be abstract:
-      the interval instance sums the lower endpoints over the fewest trips
-      and the upper endpoints over the most. *)
+  val row_sum :
+    rows:int_t -> base:int_t -> step:int -> inner:int_t -> lanes:int -> int_t
+  (** [row_sum ~rows ~base ~step ~inner ~lanes] is
+      [Σ_{d < rows} ceil_div ((base + step * d) * inner) lanes], the
+      model's hexagon-row compute sum (Equations 9 / 15 / 27).  Requires
+      [rows], [base], [inner] and [step] non-negative and [lanes]
+      positive; the interval instance raises [Invalid_argument] otherwise.
+      Every term is then non-negative and increasing in [base] and
+      [inner], so the interval instance sums the low-corner terms over
+      [rows.ilo] rows and the high-corner terms over [rows.ihi] rows, in
+      two plain integer loops.  The sums are integers, so the enclosure is
+      exact: a singleton box gives the scalar sum. *)
 
   val if_eq :
     int_t -> int -> then_:(unit -> float_t) -> else_:(int_t -> float_t) ->
@@ -74,6 +81,23 @@ module type S = sig
       returns the hull of both branches, passing [else_] the operand
       refined to exclude [n] when [n] is an endpoint. *)
 end
+
+(** {2 Monomorphic comparisons}
+
+    [Stdlib.min] and [Stdlib.max] are polymorphic: built without flambda,
+    every call goes through the C comparison routine, and the interval
+    instance makes six of them per multiply.  The instances use
+    [Int.min]/[Int.max] on ints and these fixed-type versions on floats.
+    They are Stdlib's own expressions ([if a <= b then a else b],
+    [if a >= b then a else b]), so they return the same value as
+    [Stdlib.min]/[Stdlib.max] for every pair of arguments, NaN and signed
+    zeros included.  [Float.min]/[Float.max] are not used: they return NaN
+    when either argument is NaN and order [-0.] below [+0.], where
+    [Stdlib.max] keeps the left operand, so they could move a
+    prediction. *)
+
+val float_min : float -> float -> float
+val float_max : float -> float -> float
 
 module Scalar : S with type int_t = int and type float_t = float
 (** The concrete instance: plain machine arithmetic.  {!Model.predict}

@@ -107,7 +107,8 @@ module Calc (A : Arith.S) = struct
       (to_float io_words *. float p.l_word) +. (float 2.0 *. float p.tau_sync)
     in
     (* c: Equations 9 / 15 / 27.  The hexagon rows come in equal-width
-       pairs (factor 2); each row of x points over the inner extents costs
+       pairs (factor 2); row d is x = base + 2*order*d points wide, and
+       each row of x points over the inner extents costs
        ceil(x * inner / nV) * C_iter, plus one synchronisation per row.
 
        [Paper_verbatim] sums the widths of Equation 4's idealised hexagon,
@@ -124,11 +125,8 @@ module Calc (A : Arith.S) = struct
       | Refined -> t_s.(0) + int order
     in
     let sum =
-      sum_terms
-        ~terms:(tdiv t_t (int 2))
-        (fun d ->
-          let x = base + int (Stdlib.( * ) (Stdlib.( * ) 2 order) d) in
-          ceil_div (x * inner) (int p.n_vector))
+      row_sum ~rows:(tdiv t_t (int 2)) ~base ~step:(Stdlib.( * ) 2 order)
+        ~inner ~lanes:p.n_vector
     in
     let c_compute =
       (float 2.0 *. float citer *. to_float sum)

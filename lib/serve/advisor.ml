@@ -95,6 +95,60 @@ let solve ?(req_id = "") (arch : Arch.t) (problem : Problem.t) =
                       a_components = components;
                     })))
 
+(* --- the answer contract --------------------------------------------------- *)
+
+type check = {
+  ck_grid_config : Config.t;
+  ck_grid_talg : float;
+  ck_feasible : int;
+  ck_argmin_match : bool;
+  ck_below : float;
+}
+
+(* What [solve] promises, checked against the exhaustive sweep: the served
+   Talg is the model's prediction for the served configuration, bit for
+   bit, and it is no larger than the grid minimum.  Matching the grid
+   arg-min is reported, not required: the descent may leave the grid. *)
+let check_answer (arch : Arch.t) (problem : Problem.t) ~(config : Config.t)
+    ~(talg : float) =
+  let params = Microbench.params arch in
+  let citer = Microbench.citer arch problem.Problem.stencil in
+  match Model.predict params ~citer problem config with
+  | Error e ->
+      Error
+        (Printf.sprintf "the model rejects the served %s: %s"
+           (Config.id config) e)
+  | Ok p when Int64.bits_of_float p.Model.talg <> Int64.bits_of_float talg ->
+      Error
+        (Printf.sprintf "served Talg %.17g but Model.predict of %s gives %.17g"
+           talg (Config.id config) p.Model.talg)
+  | Ok _ -> (
+      match Optimizer.evaluate_space params ~citer problem with
+      | [] -> Error "empty feasible space"
+      | evaluated -> (
+          let best = Optimizer.best evaluated in
+          let grid_talg = best.Optimizer.prediction.Model.talg in
+          match config_of_shape best.Optimizer.shape with
+          | Error e -> Error e
+          | Ok grid_config ->
+              if not (talg <= grid_talg) then
+                Error
+                  (Printf.sprintf
+                     "served %s (Talg %.6e) is above the exhaustive grid \
+                      arg-min %s (Talg %.6e)"
+                     (Config.id config) talg (Config.id grid_config) grid_talg)
+              else
+                Ok
+                  {
+                    ck_grid_config = grid_config;
+                    ck_grid_talg = grid_talg;
+                    ck_feasible = List.length evaluated;
+                    ck_argmin_match =
+                      config.Config.t_t = grid_config.Config.t_t
+                      && config.Config.t_s = grid_config.Config.t_s;
+                    ck_below = (grid_talg -. talg) /. grid_talg;
+                  }))
+
 (* --- online drift auditing ------------------------------------------------- *)
 
 type audit = {

@@ -50,6 +50,34 @@ val solve :
     span carrying [req_id] (the serving request id), so a slow cold solve
     is attributable to the request that paid for it. *)
 
+(** {1 The answer contract} *)
+
+type check = {
+  ck_grid_config : Hextime_tiling.Config.t;
+      (** the exhaustive grid arg-min, with the serving thread policy *)
+  ck_grid_talg : float;  (** its predicted Talg *)
+  ck_feasible : int;  (** feasible grid shapes evaluated *)
+  ck_argmin_match : bool;
+      (** the served tile shape is the grid arg-min's (threads excluded) *)
+  ck_below : float;
+      (** how far the served Talg is below the grid minimum, relative:
+          [(grid_talg - talg) / grid_talg], [>= 0]; [0] on a match *)
+}
+
+val check_answer :
+  Hextime_gpu.Arch.t ->
+  Hextime_stencil.Problem.t ->
+  config:Hextime_tiling.Config.t ->
+  talg:float ->
+  (check, string) result
+(** Check a served answer against what {!solve} promises, recomputing the
+    exhaustive sweep over the [Space] grid: [talg] must equal
+    [Model.predict] of [config] bit for bit, and must be at most the grid
+    minimum.  An answer below the grid minimum at an off-grid shape
+    passes; [ck_argmin_match] and [ck_below] say which case it is.
+    [Error] names the broken rule (or an empty feasible space).  This is
+    [hextime ask --check]. *)
+
 (** {1 Online drift auditing}
 
     The paper's structural-accuracy claim — the optimistic model is

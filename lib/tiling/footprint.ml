@@ -13,9 +13,11 @@ type t = {
    Exposed separately so the tile-space enumerator can probe feasibility
    without building a Config or a full footprint per candidate. *)
 let shared_words_of ?(word_factor = 1) ~order ~t_t t_s =
-  2
-  * Array.fold_left ( * ) 1 (Array.map (fun s -> s + (order * t_t) + 1) t_s)
-  * word_factor
+  let extents = ref 1 in
+  for d = 0 to Array.length t_s - 1 do
+    extents := !extents * (t_s.(d) + (order * t_t) + 1)
+  done;
+  2 * !extents * word_factor
 
 let of_config ?(word_factor = 1) ~order ~space (cfg : Config.t) =
   let rank = Config.rank cfg in

@@ -353,6 +353,35 @@ let check_metrics_counters () =
         (value name > b))
     names before
 
+(* --- allocation budgets ---------------------------------------------------- *)
+
+(* Minor words are deterministic for a given compiler, unlike wall time,
+   so the cost of the bound evaluation is gated on them.  The budgets are
+   the measured figures plus 10%: 437 words for one interval evaluation
+   of the full heat2d box and 840,671 for the whole solve (1908 interval
+   evaluations).  Polymorphic min/max, a closure per hexagon row and
+   tuple arrays per feasibility check cost 980 and 1,310,550. *)
+let check_allocation_budget () =
+  let problem = Problem.make Stencil.heat2d ~space:[| 512; 512 |] ~time:128 in
+  let citer = H.Microbench.citer arch Stencil.heat2d in
+  let l = lattice_of problem in
+  let box = Hexabs.full_box l in
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let within what budget used =
+    if used > budget then
+      Alcotest.failf "%s allocated %.0f minor words, budget %.0f" what used
+        budget
+  in
+  within "talg_bounds on the full box" 481.0
+    (words (fun () -> Hexabs.talg_bounds params ~citer problem l box));
+  within "minimize" 924_739.0
+    (words (fun () -> Hexabs.minimize params ~citer problem l))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest (prop_talg_within_bounds l2 citer problem);
@@ -382,4 +411,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_worklist_stable;
     Alcotest.test_case "b&b trajectory matches the recorded golden" `Slow
       check_trajectory_golden;
+    Alcotest.test_case "bound evaluation within its allocation budget" `Quick
+      check_allocation_budget;
   ]

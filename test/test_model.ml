@@ -8,6 +8,7 @@ module Model = Hextime_core.Model
 module C = Hextime_tiling.Config
 module S = Hextime_stencil.Stencil
 module P = Hextime_stencil.Problem
+module Arith = Hextime_core.Arith
 
 (* fixed synthetic constants: keep hand calculations easy *)
 let params =
@@ -314,6 +315,93 @@ let test_golden_bit_identity () =
           got)
     (List.combine Golden_model.lines regenerated)
 
+(* --- Arith primitives ---------------------------------------------------- *)
+
+(* The instances' fixed-type min/max must return what the polymorphic
+   Stdlib.min/max return, bit for bit, on every pair in both orders *)
+let test_monomorphic_minmax () =
+  let ints = [ min_int; -7; -1; 0; 1; 3; 7; max_int ] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check int)
+            (Printf.sprintf "imin %d %d" a b)
+            (Stdlib.min a b) (Arith.Scalar.imin a b);
+          Alcotest.(check int)
+            (Printf.sprintf "imax %d %d" a b)
+            (Stdlib.max a b) (Arith.Scalar.imax a b))
+        ints)
+    ints;
+  let floats =
+    [ Float.nan; -.Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity;
+      1.0; -1.0; Float.min_float; Float.max_float; 0.5 ]
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let name op = Printf.sprintf "%s %h %h" op a b in
+          Alcotest.(check int64) (name "float_min")
+            (bits (Stdlib.min a b)) (bits (Arith.float_min a b));
+          Alcotest.(check int64) (name "float_max")
+            (bits (Stdlib.max a b)) (bits (Arith.float_max a b));
+          Alcotest.(check int64) (name "fmax")
+            (bits (Stdlib.max a b)) (bits (Arith.Scalar.fmax a b)))
+        floats)
+    floats
+
+let interval_gen ~lo_max ~width_max =
+  QCheck.Gen.(
+    map
+      (fun (lo, w) -> Arith.Int_interval.v lo (lo + w))
+      (pair (int_range 0 lo_max) (int_range 0 width_max)))
+
+let row_sum_arb =
+  let open QCheck.Gen in
+  let fraction = float_range 0.0 1.0 in
+  let gen =
+    map
+      (fun ((rows, base, inner), (step, lanes, picks)) ->
+        (rows, base, inner, step, lanes, picks))
+      (pair
+         (triple
+            (interval_gen ~lo_max:40 ~width_max:12)
+            (interval_gen ~lo_max:300 ~width_max:40)
+            (interval_gen ~lo_max:300 ~width_max:40))
+         (triple (int_range 0 6) (int_range 1 64)
+            (triple fraction fraction fraction)))
+  in
+  QCheck.make
+    ~print:(fun ((r : Arith.Int_interval.t), (b : Arith.Int_interval.t),
+                 (i : Arith.Int_interval.t), step, lanes, _) ->
+      Printf.sprintf "rows [%d,%d] base [%d,%d] inner [%d,%d] step %d lanes %d"
+        r.ilo r.ihi b.ilo b.ihi i.ilo i.ihi step lanes)
+    gen
+
+(* a member of [lo, hi] picked by a fraction in [0, 1] *)
+let member (t : Arith.Int_interval.t) f =
+  t.ilo + int_of_float (f *. float_of_int (t.ihi - t.ilo))
+
+let prop_row_sum_encloses =
+  QCheck.Test.make ~name:"Arith.row_sum: interval encloses every member sum"
+    ~count:300 row_sum_arb
+    (fun (rows, base, inner, step, lanes, (fr, fb, fi)) ->
+      let r = member rows fr and b = member base fb and i = member inner fi in
+      let scalar = Arith.Scalar.row_sum ~rows:r ~base:b ~step ~inner:i ~lanes in
+      let enclosure = Arith.Interval.row_sum ~rows ~base ~step ~inner ~lanes in
+      let singleton =
+        Arith.Interval.row_sum
+          ~rows:(Arith.Int_interval.singleton r)
+          ~base:(Arith.Int_interval.singleton b)
+          ~step
+          ~inner:(Arith.Int_interval.singleton i)
+          ~lanes
+      in
+      Arith.Int_interval.mem scalar enclosure
+      && singleton = Arith.Int_interval.singleton scalar)
+
 let suite =
   [
     Alcotest.test_case "params" `Quick test_params;
@@ -334,4 +422,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_model_ignores_threads;
     QCheck_alcotest.to_alcotest prop_talg_monotone_in_time;
     QCheck_alcotest.to_alcotest prop_talg_positive;
+    Alcotest.test_case "Arith min/max bit-equal to Stdlib's" `Quick
+      test_monomorphic_minmax;
+    QCheck_alcotest.to_alcotest prop_row_sum_encloses;
   ]

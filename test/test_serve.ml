@@ -237,6 +237,62 @@ let test_cold_path_matches_exhaustive_argmin () =
             best.Optimizer.prediction.Model.talg a.Advisor.a_talg)
     experiments
 
+(* The answer contract ask --check enforces.  On this problem the descent
+   leaves the grid: the advisor serves tT8-tS121 (Talg 0.032269), below the
+   grid arg-min tT32-tS96 (Talg 0.035422; test/golden_bnb.ml). *)
+let test_check_answer_contract () =
+  let arch = Gpu.Arch.gtx980 in
+  let problem = P.make S.jacobi1d ~space:[| 720896 |] ~time:2560 in
+  let a =
+    match Advisor.solve arch problem with
+    | Ok a -> a
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check string) "served config" "tT8-tS121-thr256"
+    (Config.id a.Advisor.a_config);
+  let check ~config ~talg = Advisor.check_answer arch problem ~config ~talg in
+  (match check ~config:a.Advisor.a_config ~talg:a.Advisor.a_talg with
+  | Error m -> Alcotest.failf "off-grid answer rejected: %s" m
+  | Ok c ->
+      Alcotest.(check bool) "not the grid arg-min" false
+        c.Advisor.ck_argmin_match;
+      Alcotest.(check string) "grid arg-min" "tT32-tS96-thr256"
+        (Config.id c.Advisor.ck_grid_config);
+      Alcotest.(check (float 0.0)) "how far below"
+        ((c.Advisor.ck_grid_talg -. a.Advisor.a_talg) /. c.Advisor.ck_grid_talg)
+        c.Advisor.ck_below;
+      Alcotest.(check bool) "below the grid minimum" true
+        (c.Advisor.ck_below > 0.08);
+      (* the grid arg-min itself passes as a match *)
+      (match
+         check ~config:c.Advisor.ck_grid_config ~talg:c.Advisor.ck_grid_talg
+       with
+      | Ok g ->
+          Alcotest.(check bool) "grid arg-min matches" true
+            g.Advisor.ck_argmin_match;
+          Alcotest.(check (float 0.0)) "nothing below" 0.0 g.Advisor.ck_below
+      | Error m -> Alcotest.failf "grid arg-min rejected: %s" m));
+  let rejected what = function
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error _ -> ()
+  in
+  rejected "a Talg one ulp off Model.predict"
+    (check ~config:a.Advisor.a_config ~talg:(Float.succ a.Advisor.a_talg));
+  let worse =
+    match Config.make ~t_t:2 ~t_s:[| 32 |] ~threads:[| 256 |] with
+    | Ok c -> c
+    | Error m -> Alcotest.fail m
+  in
+  let worse_talg =
+    let params = H.Microbench.params arch in
+    let citer = H.Microbench.citer arch S.jacobi1d in
+    match Model.predict params ~citer problem worse with
+    | Ok p -> p.Model.talg
+    | Error m -> Alcotest.fail m
+  in
+  rejected "a config above the grid minimum"
+    (check ~config:worse ~talg:worse_talg)
+
 (* --- the server ------------------------------------------------------------- *)
 
 let connect socket_path =
@@ -799,6 +855,8 @@ let suite =
       test_index_rejects_stale_code_version;
     Alcotest.test_case "cold path = exhaustive arg-min (12 experiments)"
       `Quick test_cold_path_matches_exhaustive_argmin;
+    Alcotest.test_case "ask --check contract: off-grid answer below the grid"
+      `Quick test_check_answer_contract;
     Alcotest.test_case "serve: cold, warm, write-back, concurrent clients"
       `Quick test_serve_cold_warm_writeback_and_concurrency;
     Alcotest.test_case "hexpulse: scrape endpoint, quantile round-trip"
